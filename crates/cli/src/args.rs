@@ -49,7 +49,7 @@ pub struct Args {
     pub metrics_prom: Option<String>,
     /// Guest mutator threads.
     pub mutator_threads: u32,
-    /// Parallel GC workers (None keeps the cost model's default).
+    /// Modeled GC workers (None keeps the cost model's default).
     pub gc_workers: Option<usize>,
     /// OLD-table shard count (`None` keeps the unsharded backends:
     /// relaxed-shared for multi-threaded runs, sequential otherwise).
@@ -145,8 +145,8 @@ OPTIONS:
     --metrics-prom <FILE>  dump the final telemetry snapshot in
                         Prometheus text exposition format at exit
     --mutator-threads <N>  guest mutator threads           [default: 4]
-    --gc-workers <N>    parallel GC workers (marking, remembered-set
-                        prescan, one private OLD table each)
+    --gc-workers <N>    modeled GC workers (pause cost, one private OLD
+                        table each, sharded merge fan-out)
                         [default: cost model, 4]
     --table-shards <N|auto>  partition the OLD table into N independently
                         locked shards (N a power of two): exact counting
@@ -267,6 +267,20 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
     if args.discard >= args.secs {
         return Err("--discard must be smaller than --secs".to_string());
     }
+    // A missing output directory would otherwise surface only when the
+    // file is written, after the whole run.
+    for (flag, path) in [
+        ("--trace-out", &args.trace_out),
+        ("--stats-json", &args.stats_json),
+        ("--metrics-out", &args.metrics_out),
+        ("--metrics-prom", &args.metrics_prom),
+        ("--profile-out", &args.export_profile),
+    ] {
+        let dir = path.as_deref().and_then(|p| std::path::Path::new(p).parent());
+        if let Some(dir) = dir.filter(|d| !d.as_os_str().is_empty() && !d.is_dir()) {
+            return Err(format!("{flag}: directory {} does not exist", dir.display()));
+        }
+    }
     // `auto` depends on --mutator-threads, which may appear later on the
     // command line, so shard resolution happens after the parse loop.
     if let Some(spec) = table_shards_spec {
@@ -383,6 +397,21 @@ mod tests {
         assert_eq!(a.trace_out.as_deref(), Some("t.json"));
         assert_eq!(a.stats_json.as_deref(), Some("s.json"));
         assert!(parse(&argv("--trace-out")).unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn output_paths_in_missing_directories_fail_before_the_run() {
+        let missing = std::env::temp_dir().join("rolp-sim-no-such-dir").join("x.json");
+        let missing = missing.to_str().unwrap();
+        for flag in
+            ["--stats-json", "--trace-out", "--metrics-out", "--metrics-prom", "--profile-out"]
+        {
+            let err = parse(&argv(&format!("{flag} {missing}"))).unwrap_err();
+            assert!(err.starts_with(flag) && err.contains("does not exist"), "{err}");
+        }
+        let existing = std::env::temp_dir().join("x.json");
+        assert!(parse(&argv(&format!("--stats-json {}", existing.to_str().unwrap()))).is_ok());
+        assert!(parse(&argv("--stats-json x.json")).is_ok(), "a bare name writes to the cwd");
     }
 
     #[test]

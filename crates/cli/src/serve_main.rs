@@ -96,7 +96,7 @@ OPTIONS:
     --slo-ms <LIST>     comma-separated SLO thresholds, ms; the first is
                         the primary gate                   [default: 10,25,50]
     --mutator-threads <N>  guest threads serving requests  [default: 4]
-    --gc-workers <N>    parallel GC workers (default: collector's choice)
+    --gc-workers <N>    modeled GC workers (default: collector's choice)
     --table-shards <N|auto>  sharded OLD-table backend (power of two)
     --profile-in <FILE> warm-start from a rolp-profile-v1 (canary blend)
     --profile-out <FILE>  export the decisions this run learned, so the

@@ -80,7 +80,7 @@ pub struct RuntimeConfig {
     pub regional: rolp_gc::RegionalConfig,
     /// Guest threads.
     pub threads: u32,
-    /// Parallel GC workers. `Some(n)` overrides both the cost model's
+    /// Modeled GC workers. `Some(n)` overrides both the cost model's
     /// worker count and the profiler's private-table count in one place
     /// (the two must agree — each worker owns one
     /// [`rolp::WorkerTable`](crate::WorkerTable)); `None` keeps their

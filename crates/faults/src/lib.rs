@@ -181,9 +181,11 @@ impl FaultPlan {
                 let (cycle, rows) = rest
                     .split_once('x')
                     .ok_or_else(|| bad_atom(atom, "expected <cycle>x<rows>"))?;
+                let rows_per_cycle = u32::try_from(parse_u64(rows, atom)?)
+                    .map_err(|_| bad_atom(atom, "rows per cycle exceed u32::MAX"))?;
                 plan.faults.push(FaultKind::RowFlood {
                     from_cycle: parse_u64(cycle, atom)?,
-                    rows_per_cycle: parse_u64(rows, atom)? as u32,
+                    rows_per_cycle,
                 });
             } else if let Some(rest) = atom.strip_prefix("burst@") {
                 let (range, events) = rest
@@ -192,9 +194,13 @@ impl FaultPlan {
                 let (from, until) = range
                     .split_once("..")
                     .ok_or_else(|| bad_atom(atom, "expected <from>..<until>x<events>"))?;
+                let (from_cycle, until_cycle) = (parse_u64(from, atom)?, parse_u64(until, atom)?);
+                if from_cycle > until_cycle {
+                    return Err(bad_atom(atom, "range end precedes its start"));
+                }
                 plan.faults.push(FaultKind::AllocBurst {
-                    from_cycle: parse_u64(from, atom)?,
-                    until_cycle: parse_u64(until, atom)?,
+                    from_cycle,
+                    until_cycle,
                     events_per_cycle: parse_u64(events, atom)?,
                 });
             } else if let Some(rest) = atom.strip_prefix("drop-merge%") {
@@ -406,6 +412,25 @@ mod tests {
         assert!(err.contains("pressure-spike"), "suggests canned plans: {err}");
         assert!(FaultPlan::parse("drop-merge%0").is_err(), "zero period");
         assert!(FaultPlan::parse("burst@16x5").is_err(), "missing range");
+    }
+
+    #[test]
+    fn parse_rejects_an_inverted_burst_range() {
+        let err = FaultPlan::parse("seed=1;burst@5..1x10").unwrap_err();
+        assert_eq!(err, "bad fault atom 'burst@5..1x10': range end precedes its start");
+        assert!(FaultPlan::parse("burst@5..5x10").is_ok(), "an empty range is not inverted");
+    }
+
+    #[test]
+    fn parse_rejects_flood_rows_above_u32() {
+        let atom = format!("flood-rows@3x{}", u32::MAX as u64 + 1);
+        let err = FaultPlan::parse(&atom).unwrap_err();
+        assert_eq!(err, format!("bad fault atom '{atom}': rows per cycle exceed u32::MAX"));
+        let max = FaultPlan::parse(&format!("flood-rows@3x{}", u32::MAX)).unwrap();
+        assert_eq!(
+            max.faults,
+            vec![FaultKind::RowFlood { from_cycle: 3, rows_per_cycle: u32::MAX }]
+        );
     }
 
     #[test]

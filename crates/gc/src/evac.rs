@@ -20,13 +20,14 @@
 
 use std::collections::HashMap;
 
+use rolp_heap::remset::SlotAddr;
 use rolp_heap::{Heap, ObjectRef, RegionId, RegionKind, SpaceKind};
 use rolp_metrics::{PauseKind, SimTime};
 use rolp_telemetry::{Bucket, CounterId, HistId};
 use rolp_vm::{CostModel, VmEnv};
 
+use crate::mark::mark_liveness;
 use crate::observer::GcHooks;
-use crate::parallel::{mark_liveness_parallel, prescan_remsets, RemsetPrescan};
 
 /// Statistics of one evacuation (or compaction) pause.
 #[derive(Debug, Clone, Copy, Default)]
@@ -165,12 +166,76 @@ pub(crate) fn charge_refill(env: &mut VmEnv) {
     env.telemetry.bump(CounterId::TlabRefills, 1);
 }
 
+/// A remembered-set slot that survived prescan validation: it still holds
+/// a reference into the collection set and must be forwarded.
+#[derive(Debug, Clone, Copy)]
+pub struct ValidSlot {
+    /// The validated slot.
+    pub slot: SlotAddr,
+    /// The collection-set reference the slot held at prescan time.
+    pub value: ObjectRef,
+}
+
+/// Result of [`prescan_remsets`].
+#[derive(Debug, Default)]
+pub struct RemsetPrescan {
+    /// Valid slots per collection-set region, parallel to the input
+    /// `cset` order, each list sorted by `(region, offset, epoch)`.
+    pub valid: Vec<Vec<ValidSlot>>,
+    /// Total slots examined (valid or stale) — the pause-accounting
+    /// figure the cost model charges.
+    pub slots_examined: u64,
+}
+
+/// Validates the collection set's remembered-set slots, read-only,
+/// against the quiescent (world-stopped) heap.
+///
+/// Runs before any forwarding because validation only reads state the
+/// evacuator's remset pass never changes: cset membership, holder region
+/// epochs/kinds/tops, and slot words of *non*-cset holders (the evacuator
+/// rewrites those only after this prescan).
+pub fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> RemsetPrescan {
+    let mut slots_examined = 0u64;
+    let valid = cset
+        .iter()
+        .map(|&r| {
+            let mut valid: Vec<ValidSlot> = Vec::new();
+            for slot in heap.region(r).rset.iter() {
+                slots_examined += 1;
+                if in_cset[slot.region.0 as usize] {
+                    continue; // covered by transitive scanning
+                }
+                let holder = heap.region(slot.region);
+                if holder.assigned_epoch != slot.epoch
+                    || matches!(holder.kind, RegionKind::Free)
+                    || (slot.offset as usize) >= holder.top()
+                {
+                    continue; // stale: recycled holder or truncated slot
+                }
+                let value = ObjectRef::from_raw(holder.word(slot.offset));
+                if value.is_null() || !in_cset[value.region().0 as usize] {
+                    continue; // overwritten since recording
+                }
+                valid.push(ValidSlot { slot: *slot, value });
+            }
+            // The remembered set hashes its slots; sort so the hasher
+            // does not leak into evacuation order.
+            valid.sort_unstable_by_key(|v| (v.slot.region.0, v.slot.offset, v.slot.epoch));
+            valid
+        })
+        .collect();
+    RemsetPrescan { valid, slots_examined }
+}
+
 struct Evacuator<'a> {
     heap: &'a mut Heap,
     dest: &'a mut dyn FnMut(RegionKind, u8, u32, Option<u32>) -> SpaceKind,
     hooks: &'a mut dyn GcHooks,
     tracking: bool,
     in_cset: Vec<bool>,
+    /// Per region: `forward` copied at least one object out of it during
+    /// this evacuation.
+    copied_from: Vec<bool>,
     gc_workers: u32,
     stats: EvacStats,
     scan: Vec<ObjectRef>,
@@ -203,6 +268,7 @@ impl Evacuator<'_> {
             Ok(new) => {
                 let fixed = self.heap.header(new).with_age(new_age);
                 self.heap.set_header(new, fixed);
+                self.copied_from[obj.region().0 as usize] = true;
                 self.stats.survivors += 1;
                 self.stats.bytes_copied += size_bytes;
                 self.stats.gen_bytes[gen_index(space)] += size_bytes;
@@ -237,11 +303,9 @@ impl Evacuator<'_> {
         }
     }
 
-    /// Applies the verdicts of a [`prescan_remsets`] pass: the workers
-    /// already validated every slot (read-only, in parallel); the
-    /// coordinator performs the order-sensitive forwarding writes here,
-    /// in the prescan's sorted order, which keeps the result identical to
-    /// the single-threaded reference.
+    /// Applies the verdicts of a [`prescan_remsets`] pass: every slot was
+    /// already validated against the quiescent heap; the forwarding
+    /// writes happen here, in the prescan's sorted order.
     fn process_remsets(&mut self, cset: &[RegionId], prescan: RemsetPrescan) {
         self.stats.remset_slots += prescan.slots_examined;
         for (&r, valid) in cset.iter().zip(&prescan.valid) {
@@ -258,11 +322,7 @@ impl Evacuator<'_> {
                         // re-record it against the new target region.
                         if new.region() != slot.region {
                             let epoch = self.heap.region(slot.region).assigned_epoch;
-                            let addr = rolp_heap::remset::SlotAddr {
-                                region: slot.region,
-                                offset: slot.offset,
-                                epoch,
-                            };
+                            let addr = SlotAddr { region: slot.region, offset: slot.offset, epoch };
                             self.heap.region_mut(new.region()).rset.record(addr);
                         }
                     }
@@ -342,19 +402,18 @@ fn evacuate_mode(
     for id in cset {
         in_cset[id.0 as usize] = true;
     }
-    // Fan the remembered-set validation out to the GC workers while the
-    // heap is still quiescent (nothing has been forwarded yet); the
-    // verdicts are applied sequentially below.
-    let gc_workers = env.cost.gc_workers.max(1);
-    let prescan = prescan_remsets(&env.heap, cset, &in_cset, gc_workers as usize);
+    // Validate the remembered sets while the heap is still quiescent
+    // (nothing has been forwarded yet); the verdicts are applied below.
+    let prescan = prescan_remsets(&env.heap, cset, &in_cset);
     let tracking = hooks.survivor_tracking_enabled();
     let mut ev = Evacuator {
+        copied_from: vec![false; in_cset.len()],
         heap: &mut env.heap,
         dest,
         hooks,
         tracking,
         in_cset,
-        gc_workers: gc_workers as u32,
+        gc_workers: env.cost.gc_workers.max(1) as u32,
         stats: EvacStats { regions_in_cset: cset.len() as u64, ..Default::default() },
         scan: Vec::new(),
         failed: false,
@@ -370,18 +429,23 @@ fn evacuate_mode(
 
     let mut stats = ev.stats;
     let failed = ev.failed;
+    let copied_from = ev.copied_from;
 
     // The double-copy watermark: sources and copies coexist here.
     env.sample_memory();
 
     if !failed {
         for &r in cset {
-            let region = env.heap.region(r);
             // A region nobody copied out of died wholesale ("epochal"
-            // reclamation): it is released for free.
-            let had_survivor =
-                env.heap.objects_in_region(r).any(|o| env.heap.header(o).is_forwarded());
-            if !had_survivor && region.used_bytes() > 0 {
+            // reclamation): it is released for free. Within one
+            // evacuation an object is forwarded iff `forward` copied it.
+            let had_survivor = copied_from[r.0 as usize];
+            debug_assert_eq!(
+                had_survivor,
+                env.heap.objects_in_region(r).any(|o| env.heap.header(o).is_forwarded()),
+                "survivor flag of region {r:?} disagrees with its forwarded headers"
+            );
+            if !had_survivor && env.heap.region(r).used_bytes() > 0 {
                 stats.regions_fully_dead += 1;
             }
             env.heap.release_region(r);
@@ -470,7 +534,7 @@ pub fn rebuild_remsets(heap: &mut Heap) {
                 let v = heap.get_ref(obj, i);
                 if !v.is_null() && v.region() != id {
                     let epoch = heap.region(id).assigned_epoch;
-                    let slot = rolp_heap::remset::SlotAddr {
+                    let slot = SlotAddr {
                         region: id,
                         offset: obj.offset() + rolp_heap::heap::OBJECT_HEADER_WORDS + i as u32,
                         epoch,
@@ -505,9 +569,9 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
     // Phase 0: a failed evacuation may have left forwarding pointers.
     resolve_all_forwarding(&mut env.heap);
 
-    // Phase 1: mark, on the worker pool when one is configured.
+    // Phase 1: mark.
     let gc_workers = env.cost.gc_workers.max(1) as u32;
-    let mark = mark_liveness_parallel(&mut env.heap, gc_workers as usize);
+    let mark = mark_liveness(&mut env.heap);
 
     // Phase 2: compact, most-garbage regions first (releases fastest).
     env.heap.retire_all_current();
@@ -535,7 +599,7 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
         let objects: Vec<ObjectRef> = env.heap.objects_in_region(src).collect();
         let mut had_live = false;
         for obj in objects {
-            if !mark.marked.contains(&obj) {
+            if !mark.marked.contains(obj) {
                 continue;
             }
             had_live = true;

@@ -14,10 +14,11 @@
 //! - [`concurrent::ConcurrentCollector`] — the ZGC/C4 class: everything
 //!   concurrent, tiny pauses, barrier and memory taxes.
 //!
-//! Shared machinery: [`mark`] (tracing), [`evac`] (evacuation, full
-//! compaction, remembered-set maintenance, pause accounting), and
-//! [`parallel`] (the GC worker pool: atomic mark bitmap, work-stealing
-//! marking, read-only remembered-set prescan).
+//! Shared machinery: [`mark`] (bitmap tracing), [`evac`] (evacuation,
+//! full compaction, remembered-set maintenance, pause accounting), and
+//! [`parallel`] (the index fan-out pool the sharded OLD table uses).
+//! Pauses run on the VM thread; `gc_workers` in the cost model is the
+//! *modeled* worker count that divides pause work.
 
 pub mod cms;
 pub mod concurrent;
@@ -29,10 +30,10 @@ pub mod regional;
 
 pub use cms::{CmsCollector, CmsConfig, CmsStats};
 pub use concurrent::{ConcurrentCollector, ConcurrentConfig, ConcurrentStats};
-pub use evac::{evacuate, full_compact, rebuild_remsets, EvacOutcome, EvacStats};
-pub use mark::{mark_liveness, MarkResult};
-pub use observer::{GcCycleInfo, GcHooks, NullHooks};
-pub use parallel::{
-    fan_out_indexed, mark_liveness_parallel, prescan_remsets, MarkBitmap, RemsetPrescan,
+pub use evac::{
+    evacuate, full_compact, prescan_remsets, rebuild_remsets, EvacOutcome, EvacStats, RemsetPrescan,
 };
+pub use mark::{mark_liveness, MarkBitmap, MarkResult};
+pub use observer::{GcCycleInfo, GcHooks, NullHooks};
+pub use parallel::fan_out_indexed;
 pub use regional::{RegionalCollector, RegionalConfig, RegionalStats};
