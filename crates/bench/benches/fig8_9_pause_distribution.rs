@@ -102,10 +102,9 @@ fn main() {
     if quick {
         println!(
             "quick mode: first workload, G1 + ROLP (4 mutator threads) + ROLP-seq \
-             (1 thread, sequential profiler backend) + ROLP (governed) \
+             (1 mutator thread) + ROLP (governed) \
              (overhead governor on, no faults) + ROLP (warm) \
-             (warm-started from the plain ROLP run's profile) + ROLP (sharded) \
-             (4-shard locked OLD-table backend) (ROLP_BENCH_QUICK)"
+             (warm-started from the plain ROLP run's profile) (ROLP_BENCH_QUICK)"
         );
     }
 
@@ -119,14 +118,11 @@ fn main() {
         Learn,
         /// ROLP warm-started from the profile the `Learn` row exported.
         Warm,
-        /// Sharded OLD-table backend with the given shard count.
-        Sharded(usize),
     }
 
-    // (collector, mutator threads, gate label, mode). The default
-    // 4-thread runs exercise the concurrent profiler data plane; quick
-    // mode adds a 1-thread ROLP run so the gate also covers the
-    // sequential backend, a governed ROLP run so the gate bounds the
+    // (collector, mutator threads, gate label, mode). The default runs
+    // rotate 4 guest threads; quick mode adds a 1-thread ROLP run so the
+    // gate also covers a single mutator, a governed ROLP run so the gate bounds the
     // governor's own overhead, and a warm-started ROLP run so the gate
     // covers the profile import/blend path. The governed and warm rows
     // must come *after* plain ROLP: the shape-check lookup below takes
@@ -139,7 +135,6 @@ fn main() {
             (CollectorKind::RolpNg2c, 1, "ROLP-seq", Mode::Plain),
             (CollectorKind::RolpNg2c, 4, "ROLP (governed)", Mode::Governed),
             (CollectorKind::RolpNg2c, 4, "ROLP (warm)", Mode::Warm),
-            (CollectorKind::RolpNg2c, 4, "ROLP (sharded)", Mode::Sharded(4)),
         ]
     } else {
         [CollectorKind::Cms, CollectorKind::G1, CollectorKind::Ng2c, CollectorKind::RolpNg2c]
@@ -164,8 +159,6 @@ fn main() {
         );
         let mut tail_ms: Vec<(CollectorKind, f64)> = Vec::new();
         let mut governed_tail: Option<f64> = None;
-        let mut sharded_p99: Option<f64> = None;
-        let mut plain_p99: Option<f64> = None;
         let mut learned: Option<rolp::DecisionProfile> = None;
         let mut warm_info: Vec<(&'static str, f64, u64)> = Vec::new();
 
@@ -197,14 +190,6 @@ fn main() {
                     threads,
                     learned.clone().expect("warm row must follow the learning ROLP row"),
                 ),
-                Mode::Sharded(shards) => rolp_bench::run_one_sharded(
-                    w.as_mut(),
-                    heap.clone(),
-                    scale,
-                    &budget,
-                    threads,
-                    shards,
-                ),
                 Mode::Plain => {
                     run_one_threads(w.as_mut(), kind, heap.clone(), scale, &budget, threads)
                 }
@@ -212,12 +197,6 @@ fn main() {
             let wall = start.elapsed();
             if mode == Mode::Governed {
                 governed_tail = Some(out.pauses.percentile_ms(99.9));
-            }
-            if matches!(mode, Mode::Sharded(_)) {
-                sharded_p99 = Some(out.pauses.percentile_ms(99.0));
-            }
-            if mode == Mode::Learn {
-                plain_p99 = Some(out.pauses.percentile_ms(99.0));
             }
             let (warmup_p99, stable) = match &out.report.rolp {
                 Some(r) => (
@@ -312,13 +291,6 @@ fn main() {
                 println!(
                     "governor overhead [{name}]: p99.9 governed {gov:.1} ms vs plain \
                      {rolp:.1} ms ({overhead:+.1}%)"
-                );
-            }
-            if let (Some(sh), Some(pl)) = (sharded_p99, plain_p99) {
-                let delta = if pl > 0.0 { (sh / pl - 1.0) * 100.0 } else { 0.0 };
-                println!(
-                    "sharded backend [{name}]: p99 sharded {sh:.1} ms vs plain {pl:.1} ms \
-                     ({delta:+.1}%)"
                 );
             }
             let find = |l: &str| warm_info.iter().find(|(n, _, _)| *n == l);

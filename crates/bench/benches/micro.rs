@@ -6,7 +6,7 @@
 //! heap allocation fast path, and the survivor-processing table update.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rolp::{LifetimeTable, OldTable, WorkerTable};
+use rolp::{OldTable, WorkerTable};
 use rolp_heap::{Heap, HeapConfig, ObjectHeader, SpaceKind};
 use rolp_metrics::Histogram;
 use rolp_vm::thread::{MutatorThread, ThreadId};

@@ -67,7 +67,7 @@ pub fn runtime_config(kind: CollectorKind, heap: HeapConfig, scale: SimScale) ->
 }
 
 /// Runs one workload under one collector with the given budget, at the
-/// default bench thread count (4 — the concurrent profiler backend).
+/// default bench thread count (4 guest threads).
 ///
 /// When `ROLP_TRACE_DIR` is set, the run records a flight-recorder trace
 /// and writes `<dir>/<workload>-<collector>.trace.json` (Chrome
@@ -84,11 +84,11 @@ pub fn run_one(
 }
 
 /// [`run_one`] with an explicit mutator-thread count — the bench-side
-/// analogue of the CLI's `--mutator-threads`. `threads` selects the
-/// profiler's table backend exactly as the runtime does: 1 runs the
-/// sequential/exact `OldTable`, >1 the relaxed-atomic `SharedOldTable`
-/// (and the matching GC worker parallelism), so the pause gate can cover
-/// both data planes.
+/// analogue of the CLI's `--mutator-threads`. Every thread count
+/// profiles into the same exact `OldTable` (age-0 records are batched per
+/// thread and flushed at safepoints), so the pause gate's 1- and 4-thread
+/// rows differ only in how the workload's operations are spread over
+/// guest threads.
 pub fn run_one_threads(
     workload: &mut dyn Workload,
     kind: CollectorKind,
@@ -131,27 +131,6 @@ pub fn run_one_governed(
     let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
     config.threads = threads;
     config.rolp.governor = Some(rolp::GovernorConfig::default());
-    rolp_workloads::execute(workload, config, budget)
-}
-
-/// [`run_one_threads`] for ROLP with the sharded OLD-table backend —
-/// the `ROLP (sharded)` gate row, the bench-side analogue of the CLI's
-/// `--table-shards`. Per-shard locking makes the counting exact (unlike
-/// the relaxed-atomic concurrent backend) while the deterministic
-/// cross-shard reductions keep published decisions bit-identical to the
-/// sequential reference, so this row's pause percentiles must track
-/// plain ROLP's (the ISSUE acceptance bound is 10% on p99).
-pub fn run_one_sharded(
-    workload: &mut dyn Workload,
-    heap: HeapConfig,
-    scale: SimScale,
-    budget: &RunBudget,
-    threads: u32,
-    shards: usize,
-) -> RunOutcome {
-    let mut config = runtime_config(CollectorKind::RolpNg2c, heap, scale);
-    config.threads = threads;
-    config.rolp.table_shards = Some(shards);
     rolp_workloads::execute(workload, config, budget)
 }
 

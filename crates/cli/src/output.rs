@@ -18,6 +18,19 @@ use std::sync::Arc;
 
 use rolp_telemetry::{MetricsSnapshot, Registry};
 
+/// Fails when an output flag names a file in a directory that does not
+/// exist — checked at parse time, since the write itself only happens
+/// after the whole run. A bare file name writes to the working directory.
+pub fn check_output_dirs(outputs: &[(&str, &Option<String>)]) -> Result<(), String> {
+    for (flag, path) in outputs {
+        let dir = path.as_deref().and_then(|p| std::path::Path::new(p).parent());
+        if let Some(dir) = dir.filter(|d| !d.as_os_str().is_empty() && !d.is_dir()) {
+            return Err(format!("{flag}: directory {} does not exist", dir.display()));
+        }
+    }
+    Ok(())
+}
+
 /// Writes `contents` to `path` via a temp file + atomic rename, so
 /// readers never observe a half-written file.
 pub fn write_atomic(path: &str, contents: &str) -> Result<(), String> {

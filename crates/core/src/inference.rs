@@ -9,7 +9,7 @@
 //! call paths with different lifetimes — handed to the conflict-resolution
 //! machinery of §5.
 
-use crate::geometry::LifetimeTable;
+use crate::old_table::OldTable;
 use crate::old_table::AGE_COLUMNS;
 
 /// Minimum samples in a row before inference trusts it.
@@ -148,9 +148,8 @@ pub struct InferenceOutcome {
 
 /// Runs inference over every touched row of the table (the §4 periodic
 /// pass). Does not clear the table — the caller does, after acting on the
-/// outcome. Written once against [`LifetimeTable`]; the trait's sorted
-/// `touched_rows` contract makes the outcome backend-independent.
-pub fn infer<T: LifetimeTable + ?Sized>(table: &T) -> InferenceOutcome {
+/// outcome. Rows are walked in ascending row-key order.
+pub fn infer(table: &OldTable) -> InferenceOutcome {
     let mut out = InferenceOutcome::default();
     for key in table.touched_rows() {
         out.rows_examined += 1;

@@ -17,7 +17,6 @@ use std::collections::HashSet;
 use rolp_vm::{JitState, Program};
 
 use crate::context::site_of;
-use crate::geometry::LifetimeTable;
 use crate::old_table::AGE_COLUMNS;
 use crate::profiler::RolpProfiler;
 
@@ -53,8 +52,8 @@ impl LeakReport {
     /// monotonically across all recorded censuses (at least three) are
     /// suspects. Falls back to the immortal-age heuristic when fewer than
     /// three censuses exist.
-    pub fn gather<T: LifetimeTable>(
-        profiler: &RolpProfiler<T>,
+    pub fn gather(
+        profiler: &RolpProfiler,
         program: &Program,
         jit: &JitState,
         min_live: u64,
@@ -104,11 +103,7 @@ impl LeakReport {
         LeakReport { suspects }
     }
 
-    fn locate<T: LifetimeTable>(
-        profiler: &RolpProfiler<T>,
-        program: &Program,
-        context: u32,
-    ) -> String {
+    fn locate(profiler: &RolpProfiler, program: &Program, context: u32) -> String {
         let site_id = site_of(context);
         profiler
             .pid_to_site

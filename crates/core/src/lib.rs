@@ -13,19 +13,16 @@
 //! Module map (paper section in parentheses):
 //!
 //! - [`context`] — the 32-bit allocation context (§3.1).
-//! - [`geometry`] — the shared §7.5 table shape and the [`LifetimeTable`]
-//!   backend trait the profiler data plane is written against.
+//! - [`geometry`] — the §7.5 table shape.
 //! - [`old_table`] — the Object Lifetime Distribution table (§3.3, §7.5,
-//!   §7.6), sequential/exact backend.
-//! - [`shared_table`] — its concurrent twin with relaxed-atomic age-0
-//!   increments (§7.6's unsynchronized fast path, for real).
-//! - [`sharded_table`] — the horizontally partitioned backend: N locked
-//!   shards, parallel merge/inference fan-out, deterministic cross-shard
-//!   reduction.
+//!   §7.6): exact, fed at safepoints from per-thread age-0 batches and
+//!   the sorted GC-worker merge.
 //! - [`fleet`] — multi-runtime profile aggregation: confidence-weighted
 //!   consensus over `rolp-profile-v1` exports.
-//! - [`concurrent`] — mutator/GC-worker thread harness, safepoint merge
-//!   protocol, measured-loss reconciliation (§5.2, §7.6).
+//! - [`concurrent`] — the §7.6 experiment: racing mutator threads with
+//!   unsynchronized age-0 counters, GC-worker threads with private
+//!   tables, the safepoint merge protocol, measured-loss reconciliation
+//!   (§5.2, §7.6).
 //! - [`inference`] — lifetime inference and conflict detection (§4).
 //! - [`conflicts`] — the call-site-enabling conflict resolver (§5).
 //! - [`filters`] — package filters (§7.3).
@@ -87,8 +84,6 @@ pub mod old_table;
 pub mod profiler;
 pub mod report;
 pub mod runtime;
-pub mod sharded_table;
-pub mod shared_table;
 pub mod survivor;
 pub mod sync_compat;
 
@@ -98,7 +93,7 @@ pub use conflicts::{
 };
 pub use filters::PackageFilters;
 pub use fleet::{FleetAggregator, FleetConsensus, SubmissionOutcome};
-pub use geometry::{LifetimeTable, TableGeometry, FULL_SCALE_ROWS};
+pub use geometry::{TableGeometry, FULL_SCALE_ROWS};
 pub use governor::{
     CostSource, EpochCost, Governor, GovernorConfig, GovernorState, GovernorTransition,
 };
@@ -109,12 +104,7 @@ pub use offline::{
     ProfileValidation, ResolvedProfile, PROFILE_FORMAT_V1,
 };
 pub use old_table::{merge_worker_tables, MergeSummary, OldTable, WorkerTable, AGE_COLUMNS};
-pub use profiler::{
-    backend_for, backend_for_threads, ProfilingLevel, RolpConfig, RolpProfiler, RolpStats,
-    TableBackend,
-};
+pub use profiler::{ProfilingLevel, RolpConfig, RolpProfiler, RolpStats};
 pub use report::{render_decisions, render_summary, render_telemetry, stats_json};
 pub use runtime::{CollectorKind, JvmRuntime, RunReport, RuntimeConfig};
-pub use sharded_table::ShardedOldTable;
-pub use shared_table::SharedOldTable;
 pub use survivor::SurvivorTracking;

@@ -221,11 +221,7 @@ impl DecisionProfile {
     /// a zero thread-stack-state key are portable (see module docs); the
     /// frozen distinguishing call sites that separate the others are
     /// exported by name instead.
-    pub fn from_profiler<T: crate::geometry::LifetimeTable>(
-        profiler: &RolpProfiler<T>,
-        program: &Program,
-        jit: &JitState,
-    ) -> Self {
+    pub fn from_profiler(profiler: &RolpProfiler, program: &Program, jit: &JitState) -> Self {
         let _ = jit;
         let mut entries = Vec::new();
         for (&ctx, &generation) in profiler.decisions() {

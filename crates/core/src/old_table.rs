@@ -1,47 +1,72 @@
-//! The Object Lifetime Distribution (OLD) table — sequential backend.
+//! The Object Lifetime Distribution (OLD) table.
 //!
 //! The paper's central data structure (§3.3, §7.5, §7.6): per allocation
 //! context, the number of objects currently known at each age (0..=15).
-//! Application threads bump the age-0 cell at allocation; GC workers move
+//! Application threads record age-0 counts at allocation; GC workers move
 //! survivors from age `a` to `a+1` through *private per-worker tables*
 //! merged at the end of each collection.
 //!
-//! Sizing follows §7.5 exactly via the shared [`TableGeometry`]: the
-//! table starts with 2^16 rows — one per possible allocation-site
-//! identifier, with every thread stack state *aliasing* into its site's
-//! row (≈4 MB). When a conflict is detected on a site, the table grows by
-//! another 2^16 rows for that site so each thread stack state gets its
-//! own row (another 4 MB per conflict): `4 * (1 + N) MB` for `N`
-//! conflicts.
+//! Sizing follows §7.5 exactly via [`TableGeometry`]: the table starts
+//! with 2^16 rows — one per possible allocation-site identifier, with
+//! every thread stack state *aliasing* into its site's row (≈4 MB). When
+//! a conflict is detected on a site, the table grows by another 2^16 rows
+//! for that site so each thread stack state gets its own row (another
+//! 4 MB per conflict): `4 * (1 + N) MB` for `N` conflicts.
 //!
-//! §7.6's unsynchronized application-thread increments can lose counts;
-//! this single-threaded table is the exact *reference*. The concurrent
-//! twin ([`crate::SharedOldTable`]) runs the real racy increments, and the
-//! loss is *measured* against this reference by per-epoch reconciliation
-//! (see [`crate::concurrent`]) instead of being simulated with a
-//! probability knob. Both implement [`LifetimeTable`], so the profiler
-//! pipeline is written once against the trait.
+//! This is the runtime's only OLD table, and it is exact. The profiler
+//! never lets a mutator touch it between pauses: age-0 records are
+//! buffered per thread and flushed at the safepoint that opens each pause
+//! (see [`crate::RolpConfig::batch_age0`]), and survivor records arrive
+//! through the deterministic sorted worker merge. §7.6's unsynchronized
+//! application-thread increments — and the counts they lose — are
+//! reproduced as a self-contained experiment in [`crate::concurrent`].
 
-use std::collections::{HashMap, HashSet};
-
-use crate::geometry::{LifetimeTable, TableGeometry};
+use crate::context::site_of;
+use crate::geometry::TableGeometry;
 
 /// Number of age columns (objects stop aging at 15; §4).
 pub const AGE_COLUMNS: usize = 16;
 
 type Row = [u32; AGE_COLUMNS];
 
-/// The sequential (exact) Object Lifetime Distribution table.
+/// The exact Object Lifetime Distribution table.
 pub struct OldTable {
     geometry: TableGeometry,
-    /// Base block: one row per allocation-site id (tss aliases in).
-    base: Vec<Row>,
-    /// Expansion blocks for conflicted sites, keyed by base-block row.
-    expanded: HashMap<u16, Vec<Row>>,
-    /// Contexts with at least one recorded count since the last clear
-    /// (keyed by *row key*), kept so inference does not scan 64 K rows.
+    /// `blocks[0]` is the base block, one row per allocation-site id (tss
+    /// aliases in); then one expansion block per conflicted site, in
+    /// expansion order.
+    blocks: Vec<Block>,
+    /// Per base-block row: the index in `blocks` of its expansion block,
+    /// or 0 while the site is unexpanded.
+    block_of: Vec<u32>,
+    /// Row keys with at least one recorded count since the last clear,
+    /// kept so inference does not scan 64 K rows.
     touched: Vec<u32>,
-    touched_set: HashSet<u32>,
+}
+
+/// A block of rows with one touched bit per row.
+struct Block {
+    rows: Vec<Row>,
+    touched: Vec<u64>,
+}
+
+impl Block {
+    fn new(rows: usize) -> Self {
+        Block { rows: vec![[0; AGE_COLUMNS]; rows], touched: vec![0; rows.div_ceil(64)] }
+    }
+
+    fn is_touched(&self, i: usize) -> bool {
+        self.touched[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn set_touched(&mut self, i: usize, touched: bool) {
+        let bit = 1 << (i % 64);
+        if touched {
+            self.touched[i / 64] |= bit;
+        } else {
+            self.touched[i / 64] &= !bit;
+        }
+    }
 }
 
 impl OldTable {
@@ -51,125 +76,173 @@ impl OldTable {
     }
 
     /// Creates the table with an explicit geometry (scaled-down tests
-    /// alias ids into rows by masking, like the shared backend).
+    /// alias ids into rows by masking).
     pub fn with_geometry(geometry: TableGeometry) -> Self {
         OldTable {
             geometry,
-            base: vec![[0; AGE_COLUMNS]; geometry.site_rows()],
-            expanded: HashMap::new(),
+            blocks: vec![Block::new(geometry.site_rows())],
+            block_of: vec![0; geometry.site_rows()],
             touched: Vec::new(),
-            touched_set: HashSet::new(),
         }
     }
 
-    fn row_mut(&mut self, context: u32) -> &mut Row {
-        let site = self.geometry.site_row(context) as u16;
-        match self.expanded.get_mut(&site) {
-            Some(block) => &mut block[self.geometry.tss_row(context)],
-            None => &mut self.base[site as usize],
+    /// The block and row index `context` resolves to under the current
+    /// expansion state.
+    fn locate(&self, context: u32) -> (usize, usize) {
+        let site = self.geometry.site_row(context);
+        match self.block_of[site] as usize {
+            0 => (0, site),
+            b => (b, self.geometry.tss_row(context)),
         }
     }
 
     fn row(&self, context: u32) -> &Row {
-        let site = self.geometry.site_row(context) as u16;
-        match self.expanded.get(&site) {
-            Some(block) => &block[self.geometry.tss_row(context)],
-            None => &self.base[site as usize],
-        }
+        let (b, i) = self.locate(context);
+        &self.blocks[b].rows[i]
     }
 
-    fn touch(&mut self, context: u32) {
+    /// The row `context` resolves to, recorded as touched.
+    fn touch(&mut self, context: u32) -> &mut Row {
         let key = self.row_key(context);
-        if self.touched_set.insert(key) {
+        let (b, i) = self.locate(context);
+        let block = &mut self.blocks[b];
+        if !block.is_touched(i) {
+            block.set_touched(i, true);
             self.touched.push(key);
         }
+        &mut block.rows[i]
     }
-}
 
-impl LifetimeTable for OldTable {
-    fn geometry(&self) -> &TableGeometry {
+    /// The table's §7.5 shape.
+    pub fn geometry(&self) -> &TableGeometry {
         &self.geometry
     }
 
-    /// Application-thread path: one object allocated through `context`
-    /// (age-0 increment; exact here — the racy flavor lives in
-    /// [`crate::SharedOldTable::record_allocation`]).
-    fn record_allocation(&mut self, context: u32) {
-        self.touch(context);
-        let row = self.row_mut(context);
+    /// One object allocated through `context`: age-0 increment.
+    pub fn record_allocation(&mut self, context: u32) {
+        let row = self.touch(context);
         row[0] = row[0].saturating_add(1);
     }
 
-    /// Batched age-0 ingest: one row lookup for the whole run-length.
-    fn record_allocations(&mut self, context: u32, n: u32) {
+    /// `n` objects allocated through `context` — the batched age-0 ingest
+    /// behind the safepoint flush of the per-thread delta buffers: one
+    /// row lookup for the whole run-length, identical to `n` calls of
+    /// [`OldTable::record_allocation`].
+    pub fn record_allocations(&mut self, context: u32, n: u32) {
         if n == 0 {
             return;
         }
-        self.touch(context);
-        let row = self.row_mut(context);
+        let row = self.touch(context);
         row[0] = row[0].saturating_add(n);
     }
 
     /// GC-side path (normally via a [`WorkerTable`]): one object allocated
-    /// through `context` survived at `age`, moving to `age + 1`.
-    fn record_survival(&mut self, context: u32, age: u8) {
+    /// through `context` survived at `age`, moving to `age + 1` (both
+    /// clamped to the last column).
+    pub fn record_survival(&mut self, context: u32, age: u8) {
         let age = (age as usize).min(AGE_COLUMNS - 1);
         let next = (age + 1).min(AGE_COLUMNS - 1);
-        self.touch(context);
-        let row = self.row_mut(context);
+        let row = self.touch(context);
         row[age] = row[age].saturating_sub(1);
         row[next] = row[next].saturating_add(1);
     }
 
     /// Grows the table by an expansion block for a conflicted site
-    /// (§7.5). Counts already aggregated in the site's base row stay
-    /// there; they are discarded at the next periodic clear.
-    fn expand_site(&mut self, site: u16) {
-        let row = self.geometry.site_row((site as u32) << 16) as u16;
-        let rows = self.geometry.tss_rows();
-        self.expanded.entry(row).or_insert_with(|| vec![[0; AGE_COLUMNS]; rows]);
+    /// (§7.5). Idempotent. Counts already aggregated in the site's base
+    /// row are no longer read; the site's row key stays touched until the
+    /// next periodic clear.
+    pub fn expand_site(&mut self, site: u16) {
+        let row = self.geometry.site_row((site as u32) << 16);
+        if self.block_of[row] != 0 {
+            return;
+        }
+        self.block_of[row] = self.blocks.len() as u32;
+        let mut block = Block::new(self.geometry.tss_rows());
+        // The site's row key now resolves to the block's stack-state-0
+        // row, so that row inherits the key's touched mark.
+        if self.blocks[0].is_touched(row) {
+            self.blocks[0].set_touched(row, false);
+            block.set_touched(0, true);
+        }
+        self.blocks.push(block);
     }
 
-    fn is_expanded(&self, site: u16) -> bool {
-        self.expanded.contains_key(&(self.geometry.site_row((site as u32) << 16) as u16))
+    /// True if `site` has its own per-stack-state expansion block.
+    pub fn is_expanded(&self, site: u16) -> bool {
+        self.block_of[self.geometry.site_row((site as u32) << 16)] != 0
     }
 
-    fn expansions(&self) -> usize {
-        self.expanded.len()
+    /// Number of expansion blocks (== resolved-or-pending conflicts).
+    pub fn expansions(&self) -> usize {
+        self.blocks.len() - 1
     }
 
-    fn expanded_sites(&self) -> Vec<u16> {
-        let mut sites: Vec<u16> = self.expanded.keys().copied().collect();
-        sites.sort_unstable();
-        sites
+    /// The (masked) site rows holding expansion blocks, in ascending
+    /// order — what the decision snapshot builder needs to reproduce the
+    /// table's row keying.
+    pub fn expanded_sites(&self) -> Vec<u16> {
+        (0..self.block_of.len())
+            .filter(|&row| self.block_of[row] != 0)
+            .map(|row| row as u16)
+            .collect()
     }
 
-    fn histogram(&self, context: u32) -> [u32; AGE_COLUMNS] {
+    /// The age histogram of a context's row.
+    pub fn histogram(&self, context: u32) -> [u32; AGE_COLUMNS] {
         *self.row(context)
     }
 
-    fn touched_rows(&self) -> Vec<u32> {
+    /// Row keys with recorded counts since the last clear, in ascending
+    /// order — the order inference and conflict processing walk them in.
+    pub fn touched_rows(&self) -> Vec<u32> {
         let mut rows = self.touched.clone();
         rows.sort_unstable();
         rows
     }
 
-    fn age0_total(&self) -> u64 {
+    /// Sum of all age-0 cells.
+    pub fn age0_total(&self) -> u64 {
         // Row keys double as contexts, so each touched row reads back
         // through the normal lookup.
         self.touched.iter().map(|&key| self.row(key)[0] as u64).sum()
     }
 
-    /// Clears all counts (the §4 freshness reset after inference) per the
-    /// [`crate::geometry`] contract; expansion blocks are kept. Only rows
-    /// tracked as touched can be nonzero, so only they are zeroed.
-    fn clear_counts(&mut self) {
-        for i in 0..self.touched.len() {
-            let key = self.touched[i];
-            *self.row_mut(key) = [0; AGE_COLUMNS];
+    /// Clears all counts (the §4 freshness reset after inference). After
+    /// it every histogram reads zero, [`OldTable::touched_rows`] is empty
+    /// and [`OldTable::age0_total`] is zero, while expansion blocks — and
+    /// with them the §7.5 footprint and the per-stack-state split of
+    /// later records — are kept. Only rows tracked as touched can be
+    /// nonzero, so only they are zeroed.
+    pub fn clear_counts(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        for &key in &touched {
+            let (b, i) = self.locate(key);
+            self.blocks[b].rows[i] = [0; AGE_COLUMNS];
+            self.blocks[b].set_touched(i, false);
         }
-        self.touched.clear();
-        self.touched_set.clear();
+        touched.clear();
+        self.touched = touched;
+    }
+
+    /// The row key a context resolves to under the current expansion
+    /// state.
+    #[inline]
+    pub fn row_key(&self, context: u32) -> u32 {
+        let expanded = self.block_of[self.geometry.site_row(context)] != 0;
+        self.geometry.row_key(context, expanded)
+    }
+
+    /// Memory footprint per §7.5.
+    pub fn memory_bytes(&self) -> u64 {
+        self.geometry.memory_bytes(self.expansions())
+    }
+
+    /// Whether `context`'s site half is a plausible (assigned) profile
+    /// id. Rows are dense, so this is a bound check against the id space
+    /// the JIT has handed out.
+    pub fn context_known(&self, context: u32, max_profile_id: u16) -> bool {
+        let site = site_of(context);
+        site != 0 && site <= max_profile_id
     }
 }
 
@@ -209,7 +282,7 @@ impl WorkerTable {
     }
 
     /// Merges (and drains) the buffer into a global table.
-    pub fn merge_into<T: LifetimeTable + ?Sized>(&mut self, table: &mut T) {
+    pub fn merge_into(&mut self, table: &mut OldTable) {
         for (context, age) in self.entries.drain(..) {
             table.record_survival(context, age);
         }
@@ -236,12 +309,7 @@ pub struct MergeSummary {
 /// `(context, age)` before being applied, so the merged histograms do not
 /// depend on how survivor work was distributed across GC workers. (The
 /// apply order matters because under-counted rows saturate at zero.)
-/// Written once against [`LifetimeTable`], so the sequential reference
-/// and the concurrent backend share the safepoint protocol.
-pub fn merge_worker_tables<T: LifetimeTable + ?Sized>(
-    workers: &mut [WorkerTable],
-    table: &mut T,
-) -> MergeSummary {
+pub fn merge_worker_tables(workers: &mut [WorkerTable], table: &mut OldTable) -> MergeSummary {
     let mut summary = MergeSummary::default();
     let mut records: Vec<(u32, u8)> = Vec::new();
     for worker in workers.iter_mut() {
@@ -345,6 +413,24 @@ mod tests {
         assert!(t.is_expanded(4));
         assert!(t.touched_rows().is_empty());
         assert_eq!(t.age0_total(), 0);
+    }
+
+    #[test]
+    fn expanding_a_touched_site_keeps_its_row_key_touched_once() {
+        let mut t = OldTable::new();
+        t.record_allocation(pack(5, 7));
+        t.expand_site(5);
+        // The site-only key now resolves to stack state 0 of the block.
+        t.record_allocation(pack(5, 0));
+        t.record_allocation(pack(5, 3));
+        assert_eq!(t.touched_rows(), vec![5 << 16, pack(5, 3)]);
+        assert_eq!(t.histogram(pack(5, 0))[0], 1, "the base row is no longer read");
+        assert_eq!(t.age0_total(), 2);
+        t.clear_counts();
+        assert!(t.touched_rows().is_empty());
+        assert_eq!(t.histogram(pack(5, 0)), [0; AGE_COLUMNS]);
+        t.record_allocation(pack(5, 0));
+        assert_eq!(t.touched_rows(), vec![5 << 16]);
     }
 
     #[test]

@@ -12,13 +12,12 @@ use rolp_trace::json::JsonObject;
 use rolp_vm::{JitState, Program};
 
 use crate::context::{site_of, tss_of};
-use crate::geometry::LifetimeTable;
 use crate::profiler::RolpProfiler;
 use crate::runtime::RunReport;
 
 /// Renders the profiler's lifetime decisions with resolved source
 /// locations, sorted by generation (oldest first) then location.
-pub fn render_decisions<T: LifetimeTable>(profiler: &RolpProfiler<T>, program: &Program) -> String {
+pub fn render_decisions(profiler: &RolpProfiler, program: &Program) -> String {
     let mut rows: Vec<(u8, String, u16)> = profiler
         .decisions()
         .iter()
@@ -59,11 +58,7 @@ pub fn render_decisions<T: LifetimeTable>(profiler: &RolpProfiler<T>, program: &
 }
 
 /// Renders a one-screen profiler summary.
-pub fn render_summary<T: LifetimeTable>(
-    profiler: &RolpProfiler<T>,
-    program: &Program,
-    jit: &JitState,
-) -> String {
+pub fn render_summary(profiler: &RolpProfiler, program: &Program, jit: &JitState) -> String {
     let stats = profiler.stats(program, jit);
     let mut out = String::new();
     let _ = writeln!(out, "ROLP profiler summary");

@@ -2,21 +2,17 @@
 //!
 //! The safepoint merge protocol in [`crate::concurrent`] is written
 //! against this module instead of `std` directly so the `loom` CI job can
-//! explore its interleavings: building with `--features loom` swaps every
-//! atomic, `UnsafeCell`, and `yield_now` for the model checker's
+//! explore its interleavings: building with `--features loom` swaps the
+//! atomics and `UnsafeCell` for the model checker's
 //! instrumented equivalents (the vendored `loom` is an API-compatible
 //! stress-testing subset — see `vendor/loom`). Production builds compile
 //! straight to `std` with zero overhead.
 
 #[cfg(feature = "loom")]
-pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-#[cfg(feature = "loom")]
-pub use loom::thread::yield_now;
+pub use loom::sync::atomic::{AtomicBool, Ordering};
 
 #[cfg(not(feature = "loom"))]
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(feature = "loom"))]
-pub use std::thread::yield_now;
+pub use std::sync::atomic::{AtomicBool, Ordering};
 
 /// An `UnsafeCell` with loom's closure-based access API.
 ///

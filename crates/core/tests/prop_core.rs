@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rolp::inference::{classify_row, find_peaks, quantile_age, RowVerdict};
-use rolp::{LifetimeTable, OldTable, SurvivorTracking, WorkerTable, AGE_COLUMNS};
+use rolp::{OldTable, SurvivorTracking, WorkerTable, AGE_COLUMNS};
 
 /// One OLD-table event.
 #[derive(Debug, Clone, Copy)]

@@ -14,9 +14,8 @@
 //! - [`concurrent::ConcurrentCollector`] — the ZGC/C4 class: everything
 //!   concurrent, tiny pauses, barrier and memory taxes.
 //!
-//! Shared machinery: [`mark`] (bitmap tracing), [`evac`] (evacuation,
-//! full compaction, remembered-set maintenance, pause accounting), and
-//! [`parallel`] (the index fan-out pool the sharded OLD table uses).
+//! Shared machinery: [`mark`] (bitmap tracing) and [`evac`] (evacuation,
+//! full compaction, remembered-set maintenance, pause accounting).
 //! Pauses run on the VM thread; `gc_workers` in the cost model is the
 //! *modeled* worker count that divides pause work.
 
@@ -25,7 +24,6 @@ pub mod concurrent;
 pub mod evac;
 pub mod mark;
 pub mod observer;
-pub mod parallel;
 pub mod regional;
 
 pub use cms::{CmsCollector, CmsConfig, CmsStats};
@@ -35,5 +33,4 @@ pub use evac::{
 };
 pub use mark::{mark_liveness, MarkBitmap, MarkResult};
 pub use observer::{GcCycleInfo, GcHooks, NullHooks};
-pub use parallel::fan_out_indexed;
 pub use regional::{RegionalCollector, RegionalConfig, RegionalStats};
