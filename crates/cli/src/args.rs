@@ -2,6 +2,8 @@
 
 use rolp::runtime::CollectorKind;
 
+use crate::output::{check_output_dirs, parse_thread_count};
+
 /// Which workload to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadChoice {
@@ -136,9 +138,9 @@ OPTIONS:
                         [default: 1]
     --metrics-prom <FILE>  dump the final telemetry snapshot in
                         Prometheus text exposition format at exit
-    --mutator-threads <N>  guest mutator threads           [default: 4]
-    --gc-workers <N>    modeled GC workers (pause cost, one private OLD
-                        table each)  [default: cost model, 4]
+    --mutator-threads <N>  guest mutator threads, 1-256    [default: 4]
+    --gc-workers <N>    modeled GC workers, 1-256 (pause cost, one private
+                        OLD table each)  [default: cost model, 4]
     --fault-plan <SPEC> inject deterministic profiler faults and engage
                         the overhead governor. SPEC is a canned plan
                         (pressure-spike | id-exhaustion | merge-chaos) or
@@ -210,20 +212,11 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
             "--metrics-prom" => args.metrics_prom = Some(take("--metrics-prom")?),
             "--mutator-threads" => {
                 let v = take("--mutator-threads")?;
-                args.mutator_threads = v
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or("--mutator-threads must be positive")?;
+                args.mutator_threads = parse_thread_count("--mutator-threads", &v)?;
             }
             "--gc-workers" => {
                 let v = take("--gc-workers")?;
-                args.gc_workers = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or("--gc-workers must be positive")?,
-                );
+                args.gc_workers = Some(parse_thread_count("--gc-workers", &v)? as usize);
             }
             "--fault-plan" => {
                 let v = take("--fault-plan")?;
@@ -246,7 +239,7 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
     if args.discard >= args.secs {
         return Err("--discard must be smaller than --secs".to_string());
     }
-    crate::output::check_output_dirs(&[
+    check_output_dirs(&[
         ("--trace-out", &args.trace_out),
         ("--stats-json", &args.stats_json),
         ("--metrics-out", &args.metrics_out),
@@ -334,6 +327,14 @@ mod tests {
         assert!(!d.verify_determinism);
         assert!(parse(&argv("--gc-workers 0")).unwrap_err().contains("positive"));
         assert!(parse(&argv("--mutator-threads 0")).unwrap_err().contains("positive"));
+        assert_eq!(
+            parse(&argv("--mutator-threads 256")).expect("at the bound").mutator_threads,
+            256
+        );
+        for flag in ["--mutator-threads", "--gc-workers"] {
+            let err = parse(&argv(&format!("{flag} 4294967296"))).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} must be at most 256")), "{err}");
+        }
     }
 
     #[test]

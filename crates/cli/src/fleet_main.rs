@@ -81,7 +81,7 @@ OPTIONS:
     --scale <N>         run at 1/N of the paper's testbed   [default: 64]
     --drift             give the last instance a drifted read/write mix
                         (forces weighted-majority conflict resolution)
-    --mutator-threads <N>  guest mutator threads per instance [default: 4]
+    --mutator-threads <N>  guest mutator threads per instance, 1-256 [default: 4]
     --consensus-out <FILE>  write the consensus profile (rolp-profile-v1)
     --cold-stats <FILE>    run the late joiner WITHOUT a profile and write
                         its stats JSON (for scripts/warmup_gate.py)
@@ -158,7 +158,7 @@ fn parse(argv: &[String]) -> Result<FleetArgs, String> {
             "--drift" => args.drift = true,
             "--mutator-threads" => {
                 args.mutator_threads =
-                    positive("--mutator-threads", take("--mutator-threads")?)? as u32
+                    output::parse_thread_count("--mutator-threads", &take("--mutator-threads")?)?
             }
             "--consensus-out" => args.consensus_out = Some(take("--consensus-out")?),
             "--cold-stats" => args.cold_stats = Some(take("--cold-stats")?),
@@ -419,6 +419,8 @@ mod tests {
         assert!(a.drift);
         assert_eq!(a.consensus_out.as_deref(), Some("c.prof"));
         assert!(parse(&argv("--instances 0")).unwrap_err().contains("positive"));
+        let err = parse(&argv("--mutator-threads 4294967296")).unwrap_err();
+        assert!(err.starts_with("--mutator-threads must be at most 256"), "{err}");
         assert!(parse(&argv("--table-shards 4")).unwrap_err().contains("unknown option"));
         assert!(parse(&argv("--frobnicate")).unwrap_err().contains("unknown option"));
     }

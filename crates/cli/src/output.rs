@@ -18,6 +18,22 @@ use std::sync::Arc;
 
 use rolp_telemetry::{MetricsSnapshot, Registry};
 
+/// Largest accepted `--mutator-threads` / `--gc-workers` value. The
+/// largest count any experiment uses is 8, and `--verify-determinism`
+/// starts one OS thread per mutator thread, so an absurd count must fail
+/// at parse time rather than run.
+pub const MAX_THREADS: u32 = 256;
+
+/// Parses a thread-count flag: an integer from 1 to [`MAX_THREADS`].
+pub fn parse_thread_count(flag: &str, value: &str) -> Result<u32, String> {
+    let n =
+        value.parse::<u64>().ok().filter(|&n| n > 0).ok_or(format!("{flag} must be positive"))?;
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n <= MAX_THREADS)
+        .ok_or(format!("{flag} must be at most {MAX_THREADS}, got {n}"))
+}
+
 /// Fails when an output flag names a file in a directory that does not
 /// exist — checked at parse time, since the write itself only happens
 /// after the whole run. A bare file name writes to the working directory.
@@ -145,6 +161,21 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_are_checked_and_bounded() {
+        assert_eq!(parse_thread_count("--gc-workers", "1"), Ok(1));
+        assert_eq!(parse_thread_count("--gc-workers", "256"), Ok(MAX_THREADS));
+        for bad in ["0", "-1", "four", ""] {
+            let err = parse_thread_count("--gc-workers", bad).unwrap_err();
+            assert_eq!(err, "--gc-workers must be positive");
+        }
+        // 2^32 and 2^32 + 4 would truncate to 0 and 4 through `as u32`.
+        for big in ["257", "4294967296", "4294967300", "18446744073709551615"] {
+            let err = parse_thread_count("--mutator-threads", big).unwrap_err();
+            assert!(err.starts_with("--mutator-threads must be at most 256"), "{err}");
+        }
+    }
+
+    #[test]
     fn write_atomic_replaces_and_leaves_no_temp() {
         let path = temp_path("atomic.json");
         let path_str = path.to_str().unwrap();
@@ -160,8 +191,8 @@ mod tests {
         let path = temp_path("partial.json");
         let path_str = path.to_str().unwrap().to_string();
         let registry = std::sync::Arc::new(Registry::new());
-        let cells = registry.register_thread();
-        cells.add_time(Bucket::MutatorApp, 1_000);
+        let writer = registry.register_thread();
+        writer.add_time(Bucket::MutatorApp, 1_000);
 
         let reg = registry.clone();
         let result = std::panic::catch_unwind(move || {
@@ -183,14 +214,14 @@ mod tests {
         let path = temp_path("crash-metrics.jsonl");
         let path_str = path.to_str().unwrap().to_string();
         let registry = std::sync::Arc::new(Registry::new());
-        let cells = registry.register_thread();
+        let writer = registry.register_thread();
         // Two published windows before the crash...
-        cells.add_time(Bucket::MutatorApp, 500);
+        writer.add_time(Bucket::MutatorApp, 500);
         registry.publish(1_000_000_000);
-        cells.add_time(Bucket::MutatorApp, 500);
+        writer.add_time(Bucket::MutatorApp, 500);
         registry.publish(2_000_000_000);
         // ...plus unpublished progress the crash flush must capture.
-        cells.add_time(Bucket::GcMark, 42);
+        writer.add_time(Bucket::GcMark, 42);
 
         let reg = registry.clone();
         let result = std::panic::catch_unwind(move || {
@@ -242,10 +273,10 @@ mod tests {
     #[test]
     fn metrics_jsonl_downsamples_and_keeps_the_final_row() {
         let registry = Registry::new();
-        let cells = registry.register_thread();
+        let writer = registry.register_thread();
         let mut history = vec![registry.store().snapshot()]; // version 0
         for i in 1..=10u64 {
-            cells.add_time(Bucket::MutatorApp, 100);
+            writer.add_time(Bucket::MutatorApp, 100);
             registry.publish(i * 1_000_000_000); // one per simulated second
             history.push(registry.store().snapshot());
         }

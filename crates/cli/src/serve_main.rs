@@ -93,8 +93,8 @@ OPTIONS:
     --arrivals <KIND>   poisson | paced                    [default: poisson]
     --slo-ms <LIST>     comma-separated SLO thresholds, ms; the first is
                         the primary gate                   [default: 10,25,50]
-    --mutator-threads <N>  guest threads serving requests  [default: 4]
-    --gc-workers <N>    modeled GC workers (default: collector's choice)
+    --mutator-threads <N>  guest threads serving requests, 1-256 [default: 4]
+    --gc-workers <N>    modeled GC workers, 1-256 (default: collector's choice)
     --profile-in <FILE> warm-start from a rolp-profile-v1 (canary blend)
     --profile-out <FILE>  export the decisions this run learned, so the
                         next serving run can warm-start from them
@@ -170,10 +170,12 @@ fn parse(argv: &[String]) -> Result<ServeArgs, String> {
             }
             "--mutator-threads" => {
                 args.mutator_threads =
-                    positive("--mutator-threads", take("--mutator-threads")?)? as u32
+                    output::parse_thread_count("--mutator-threads", &take("--mutator-threads")?)?
             }
             "--gc-workers" => {
-                args.gc_workers = Some(positive("--gc-workers", take("--gc-workers")?)? as usize)
+                args.gc_workers =
+                    Some(output::parse_thread_count("--gc-workers", &take("--gc-workers")?)?
+                        as usize)
             }
             "--profile-in" => args.profile_in = Some(take("--profile-in")?),
             "--profile-out" => args.profile_out = Some(take("--profile-out")?),
@@ -435,6 +437,10 @@ mod tests {
         assert_eq!(a.serve_json.as_deref(), Some("out.json"));
 
         assert!(parse(&argv("--slo-ms 0")).unwrap_err().contains("bad SLO"));
+        for flag in ["--mutator-threads", "--gc-workers"] {
+            let err = parse(&argv(&format!("--phases 1s@200 {flag} 4294967296"))).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} must be at most 256")), "{err}");
+        }
         assert!(parse(&argv("--arrivals uniform")).unwrap_err().contains("unknown arrival"));
         assert!(parse(&argv("--table-shards 4")).unwrap_err().contains("unknown option"));
         assert!(parse(&argv("--frobnicate")).unwrap_err().contains("unknown option"));

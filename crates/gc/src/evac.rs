@@ -18,10 +18,8 @@
 //! are resolved up front) and compacts with a rolling region release so it
 //! can run with as little as one free region.
 
-use std::collections::HashMap;
-
 use rolp_heap::remset::SlotAddr;
-use rolp_heap::{Heap, ObjectRef, RegionId, RegionKind, SpaceKind};
+use rolp_heap::{FoldMap, Heap, ObjectRef, RegionId, RegionKind, SpaceKind};
 use rolp_metrics::{PauseKind, SimTime};
 use rolp_telemetry::{Bucket, CounterId, HistId};
 use rolp_vm::{CostModel, VmEnv};
@@ -218,8 +216,8 @@ pub fn prescan_remsets(heap: &Heap, cset: &[RegionId], in_cset: &[bool]) -> Rems
                 }
                 valid.push(ValidSlot { slot: *slot, value });
             }
-            // The remembered set hashes its slots; sort so the hasher
-            // does not leak into evacuation order.
+            // The remembered set's order is the same in every run but
+            // arbitrary; sorting pins evacuation order to the slots.
             valid.sort_unstable_by_key(|v| (v.slot.region.0, v.slot.offset, v.slot.epoch));
             valid
         })
@@ -587,7 +585,7 @@ pub fn full_compact(env: &mut VmEnv, hooks: &mut dyn GcHooks) -> EvacStats {
 
     let tracking = hooks.survivor_tracking_enabled();
     let mut stats = EvacStats { regions_in_cset: sources.len() as u64, ..Default::default() };
-    let mut relocation: HashMap<ObjectRef, ObjectRef> = HashMap::new();
+    let mut relocation: FoldMap<ObjectRef, ObjectRef> = FoldMap::default();
 
     for src in sources {
         let from_kind = env.heap.region(src).kind;

@@ -574,12 +574,9 @@ impl Heap {
         let r = &mut self.regions[region.0 as usize];
         r.set_word(offset, header.raw());
         r.set_word(offset + 1, info);
-        for i in 0..ref_words as u32 {
-            r.set_word(offset + OBJECT_HEADER_WORDS + i, ObjectRef::NULL.raw());
-        }
-        for j in 0..data_words {
-            r.set_word(offset + OBJECT_HEADER_WORDS + ref_words as u32 + j, 0);
-        }
+        let refs_at = offset + OBJECT_HEADER_WORDS;
+        r.fill(refs_at, ref_words as usize, ObjectRef::NULL.raw());
+        r.fill(refs_at + ref_words as u32, data_words as usize, 0);
         self.classes.note_allocation(class);
         self.stats.allocations += 1;
         self.stats.bytes_allocated += size_words as u64 * 8;
@@ -1079,6 +1076,85 @@ mod tests {
         match tlab_alloc(&mut h, 0, 0, 2) {
             TlabAlloc::Refilled(_) => {}
             other => panic!("stale buffer survived release: {other:?}"),
+        }
+    }
+
+    /// Reads `obj`'s reference and data words straight from its region and
+    /// checks a fresh allocation's image: `refs` NULLs, then `data` zeros.
+    fn assert_fresh(h: &Heap, obj: ObjectRef, refs: u16, data: u32) {
+        assert_eq!((h.size_words(obj), h.ref_words(obj)), (2 + refs as u32 + data, refs));
+        let r = h.region(obj.region());
+        let body = obj.offset() + OBJECT_HEADER_WORDS;
+        for i in 0..refs as u32 {
+            assert_eq!(r.word(body + i), ObjectRef::NULL.raw(), "{obj:?} ref {i}");
+        }
+        for j in 0..data {
+            assert_eq!(r.word(body + refs as u32 + j), 0, "{obj:?} data {j}");
+        }
+    }
+
+    /// A recycled region still holds its dead objects' words. Both TLAB
+    /// and shared allocations over them must start with NULL refs and
+    /// zero data, and write nothing outside the new object: two TLABs
+    /// end right before an already allocated neighbour, so an overlong
+    /// fill would hit that neighbour's header.
+    #[test]
+    fn tlab_and_shared_allocations_clean_a_recycled_region() {
+        let mut h = heap_with_class();
+        let dead: Vec<ObjectRef> = (0..7).map(|_| alloc(&mut h, SpaceKind::Eden, 2, 12)).collect();
+        let region = dead[0].region();
+        for &o in &dead {
+            assert_eq!(o.region(), region, "seven 16-word objects share a region");
+            for i in 0..2 {
+                h.set_ref(o, i, dead[0]);
+            }
+            for j in 0..12 {
+                h.set_data(o, j, 0xDEAD_BEEF_0000 + j as u64);
+            }
+        }
+        h.retire_current(SpaceKind::Eden);
+        h.release_region(region);
+
+        // 32-word TLABs: thread 0 carves words 0..32, thread 1 32..64,
+        // and shared allocations bump from word 64.
+        h.set_tlab_bytes(256);
+        const LAST_WORD: u64 = 0x5E47_1E11;
+        fn tlab(h: &mut Heap, thread: u32, refs: u16, data: u32) -> ObjectRef {
+            let o = match tlab_alloc(h, thread, refs, data) {
+                TlabAlloc::Hit(o) | TlabAlloc::Refilled(o) => o,
+                TlabAlloc::Miss => panic!("thread {thread} missed its TLAB"),
+            };
+            assert_fresh(h, o, refs, data);
+            o
+        }
+        let x1 = tlab(&mut h, 0, 2, 4);
+        let w1 = tlab(&mut h, 1, 1, 5);
+        let y1 = alloc(&mut h, SpaceKind::Eden, 3, 3);
+        assert_fresh(&h, y1, 3, 3);
+        assert_eq!((x1.region(), w1.region(), y1.region()), (region, region, region));
+        assert_eq!((x1.offset(), w1.offset(), y1.offset()), (0, 32, 64));
+        let neighbours = [(x1, 2, 4), (w1, 1, 5), (y1, 3, 3)];
+        for (o, _, _) in neighbours {
+            let last = o.offset() + h.size_words(o) - 1;
+            h.region_mut(region).set_word(last, LAST_WORD);
+        }
+        let headers = neighbours.map(|(o, _, _)| h.header(o));
+        let y2 = alloc(&mut h, SpaceKind::Eden, 0, 6);
+        assert_fresh(&h, y2, 0, 6);
+        // Each fills the rest of its TLAB, up to the next object's header:
+        // one object with references only, one ending in data.
+        let x2 = tlab(&mut h, 0, 22, 0);
+        let w2 = tlab(&mut h, 1, 2, 20);
+        assert_eq!((x2.offset(), w2.offset(), y2.offset()), (8, 40, 72));
+
+        for ((o, refs, data), header) in neighbours.into_iter().zip(headers) {
+            let last = o.offset() + h.size_words(o) - 1;
+            assert_eq!(h.region(region).word(last), LAST_WORD, "{o:?} last word");
+            assert_eq!(h.header(o), header, "{o:?} header");
+            assert_eq!((h.size_words(o), h.ref_words(o)), (2 + refs + data, refs as u16));
+        }
+        for (o, refs, data) in [(y2, 0, 6), (x2, 22, 0), (w2, 2, 20)] {
+            assert_fresh(&h, o, refs, data);
         }
     }
 

@@ -23,6 +23,7 @@
 pub mod claim;
 pub mod class;
 pub mod handles;
+pub mod hash;
 pub mod header;
 pub mod heap;
 pub mod object;
@@ -34,6 +35,7 @@ pub mod verify;
 pub use claim::{ChunkClaimer, RegionClaimer};
 pub use class::{ClassId, ClassTable};
 pub use handles::{Handle, HandleTable};
+pub use hash::FoldMap;
 pub use header::ObjectHeader;
 pub use heap::{
     AllocFailure, Heap, HeapConfig, HeapStats, SpaceKind, TlabAlloc, DEFAULT_TLAB_BYTES,

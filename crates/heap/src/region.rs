@@ -164,6 +164,13 @@ impl Region {
         self.words[offset as usize] = value;
     }
 
+    /// Sets the `words` words starting at `offset` to `value`.
+    #[inline]
+    pub(crate) fn fill(&mut self, offset: u32, words: usize, value: u64) {
+        let at = offset as usize;
+        self.words[at..at + words].fill(value);
+    }
+
     /// Copies `words` words starting at `src_offset` in `src` into this
     /// region at `dst_offset`. Both ranges must be in bounds.
     pub fn copy_from(&mut self, src: &Region, src_offset: u32, dst_offset: u32, words: usize) {

@@ -7,8 +7,7 @@
 //! stale (the slot has since been overwritten or its holder died); the
 //! evacuator re-validates each slot before using it.
 
-use std::collections::HashSet;
-
+use crate::hash::FoldSet;
 use crate::object::ObjectRef;
 use crate::region::RegionId;
 
@@ -29,9 +28,12 @@ pub struct SlotAddr {
 }
 
 /// The remembered set of one region: slots that pointed into it.
+///
+/// Iteration order is the same in every run but arbitrary; the
+/// evacuator sorts the slots before it acts on them.
 #[derive(Debug, Clone, Default)]
 pub struct RememberedSet {
-    slots: HashSet<SlotAddr>,
+    slots: FoldSet<SlotAddr>,
 }
 
 impl RememberedSet {
@@ -64,16 +66,6 @@ impl RememberedSet {
     pub fn iter(&self) -> impl Iterator<Item = &SlotAddr> {
         self.slots.iter()
     }
-
-    /// Drains the slots into a vector (used at evacuation start).
-    pub fn take(&mut self) -> Vec<SlotAddr> {
-        self.slots.drain().collect()
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<SlotAddr>()) as u64
-    }
 }
 
 /// Decides whether a reference store needs a remembered-set entry: the
@@ -94,16 +86,6 @@ mod tests {
         rs.record(s);
         rs.record(s);
         assert_eq!(rs.len(), 1);
-    }
-
-    #[test]
-    fn take_drains() {
-        let mut rs = RememberedSet::new();
-        rs.record(SlotAddr { region: RegionId(1), offset: 1, epoch: 1 });
-        rs.record(SlotAddr { region: RegionId(2), offset: 2, epoch: 1 });
-        let v = rs.take();
-        assert_eq!(v.len(), 2);
-        assert!(rs.is_empty());
     }
 
     #[test]

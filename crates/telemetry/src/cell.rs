@@ -1,26 +1,43 @@
-//! Per-thread lock-free metric cells.
+//! Per-thread single-writer metric cells.
 //!
 //! Each thread that wants to record metrics registers one [`ThreadCells`]
-//! block in the [`crate::Registry`] and then updates it with plain
-//! `Relaxed` atomic adds — no locks, no allocation, no contention with
-//! other recorders. Aggregation (safepoint-side, no racing writers in
-//! the simulator) reads the cells and reconstructs exact
-//! [`rolp_metrics::Histogram`]s because the cells share its bucket
-//! layout bit for bit.
+//! block in the [`crate::Registry`] and gets back the block's only
+//! [`CellWriter`]. The writer is neither `Clone` nor `Sync`, so exactly
+//! one thread updates a block, and an update is a `Relaxed` load plus a
+//! `Relaxed` store — no locked read-modify-write, no allocation, no
+//! contention. Readers on any thread hold `Arc<ThreadCells>` and load
+//! the cells; aggregation (safepoint-side, no racing writers in the
+//! simulator) reconstructs exact [`rolp_metrics::Histogram`]s because
+//! the cells share its bucket layout bit for bit.
 
+use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rolp_metrics::Histogram;
 
 use crate::bucket::{Bucket, CounterId, HistId};
 
-/// A lock-free histogram cell mirroring [`Histogram`]'s bucket layout.
+/// Adds `n` to a cell that only one [`CellWriter`] updates. Nothing can
+/// land between the load and the store, so the add is exact without a
+/// locked read-modify-write; it wraps on overflow, as `fetch_add` does.
+#[inline]
+fn add(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+}
+
+/// A histogram cell mirroring [`Histogram`]'s bucket layout.
 ///
-/// `record` is wait-free: one index computation plus five `Relaxed`
-/// atomic RMWs. [`HistogramCell::to_histogram`] converts back to an
-/// exact `Histogram` — merging any partition of a sample across cells
-/// yields the same histogram as recording it single-threaded.
+/// Recording is wait-free: one index computation plus `Relaxed` loads
+/// and stores — three adds and the two extremes, no locked
+/// read-modify-write. That is exact because only the owning
+/// [`CellWriter`] records (the method is crate-private and the writer is
+/// neither `Clone` nor `Sync`). [`HistogramCell::to_histogram`] converts
+/// back to an exact `Histogram` — merging any partition of a sample
+/// across cells yields the same histogram as recording it
+/// single-threaded.
 pub struct HistogramCell {
     counts: Box<[AtomicU64]>,
     total: AtomicU64,
@@ -44,17 +61,22 @@ impl HistogramCell {
         }
     }
 
-    /// Records one observation (lock-free, wait-free).
+    /// Records one observation. Single writer: see [`CellWriter`].
     ///
     /// Values are durations in nanoseconds; the running sum is a `u64`,
     /// so the cell is exact as long as the total stays below `u64::MAX`
     /// (~584 years of attributed nanoseconds).
-    pub fn record(&self, value: u64) {
-        self.counts[Histogram::index_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+    #[inline]
+    pub(crate) fn record(&self, value: u64) {
+        add(&self.counts[Histogram::index_of(value)], 1);
+        add(&self.total, 1);
+        add(&self.sum, value);
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.store(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded observations.
@@ -105,6 +127,8 @@ impl fmt::Debug for HistogramCell {
 }
 
 /// One thread's metric cells: time-per-bucket, counters, histograms.
+///
+/// This is the read side; the block's [`CellWriter`] updates it.
 pub struct ThreadCells {
     time_ns: [AtomicU64; Bucket::COUNT],
     counters: [AtomicU64; CounterId::COUNT],
@@ -121,32 +145,14 @@ impl ThreadCells {
         }
     }
 
-    /// Attributes `ns` of time to `bucket`.
-    #[inline]
-    pub fn add_time(&self, bucket: Bucket, ns: u64) {
-        self.time_ns[bucket.index()].fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Time attributed to `bucket` so far.
     pub fn time(&self, bucket: Bucket) -> u64 {
         self.time_ns[bucket.index()].load(Ordering::Relaxed)
     }
 
-    /// Increments counter `id` by `n`.
-    #[inline]
-    pub fn bump(&self, id: CounterId, n: u64) {
-        self.counters[id.index()].fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Current value of counter `id`.
     pub fn counter(&self, id: CounterId) -> u64 {
         self.counters[id.index()].load(Ordering::Relaxed)
-    }
-
-    /// Records `value` into histogram series `id`.
-    #[inline]
-    pub fn record(&self, id: HistId, value: u64) {
-        self.histograms[id.index()].record(value);
     }
 
     /// The cell for histogram series `id`.
@@ -165,6 +171,68 @@ impl fmt::Debug for ThreadCells {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let total: u64 = Bucket::ALL.iter().map(|&b| self.time(b)).sum();
         f.debug_struct("ThreadCells").field("attributed_ns", &total).finish()
+    }
+}
+
+/// The only writer of one [`ThreadCells`] block, handed out by
+/// [`crate::Registry::register_thread`].
+///
+/// Every update is a `Relaxed` load and store rather than a locked
+/// read-modify-write. That loses nothing because a block has exactly one
+/// writer: this type is not `Clone`, and it is not `Sync`, so no second
+/// thread can reach it through a shared reference. It is `Send`, so a
+/// recorder thread can own it. The loads and stores stay atomic, so a
+/// reader on another thread never tears a value; it sees every update
+/// made before its last synchronization with the writer (the safepoint
+/// on the VM thread, or a join).
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<rolp_telemetry::CellWriter>();
+/// ```
+///
+/// ```compile_fail
+/// fn copied<T: Clone>() {}
+/// copied::<rolp_telemetry::CellWriter>();
+/// ```
+pub struct CellWriter {
+    cells: Arc<ThreadCells>,
+    _not_sync: PhantomData<Cell<()>>,
+}
+
+impl CellWriter {
+    /// The writer of a fresh, zeroed block.
+    pub(crate) fn new() -> Self {
+        CellWriter { cells: Arc::new(ThreadCells::new()), _not_sync: PhantomData }
+    }
+
+    /// The block this writer updates, for readers.
+    pub(crate) fn cells(&self) -> &Arc<ThreadCells> {
+        &self.cells
+    }
+
+    /// Attributes `ns` of time to `bucket`.
+    #[inline]
+    pub fn add_time(&self, bucket: Bucket, ns: u64) {
+        add(&self.cells.time_ns[bucket.index()], ns);
+    }
+
+    /// Increments counter `id` by `n`.
+    #[inline]
+    pub fn bump(&self, id: CounterId, n: u64) {
+        add(&self.cells.counters[id.index()], n);
+    }
+
+    /// Records `value` into histogram series `id`.
+    #[inline]
+    pub fn record(&self, id: HistId, value: u64) {
+        self.cells.histograms[id.index()].record(value);
+    }
+}
+
+impl fmt::Debug for CellWriter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("CellWriter").field(&self.cells).finish()
     }
 }
 
@@ -201,12 +269,13 @@ mod tests {
 
     #[test]
     fn thread_cells_accumulate_time_and_counters() {
-        let cells = ThreadCells::new();
-        cells.add_time(Bucket::MutatorApp, 100);
-        cells.add_time(Bucket::MutatorApp, 50);
-        cells.add_time(Bucket::GcEvac, 7);
-        cells.bump(CounterId::JitCompiles, 2);
-        cells.record(HistId::GcPauseNs, 1_000);
+        let writer = CellWriter::new();
+        writer.add_time(Bucket::MutatorApp, 100);
+        writer.add_time(Bucket::MutatorApp, 50);
+        writer.add_time(Bucket::GcEvac, 7);
+        writer.bump(CounterId::JitCompiles, 2);
+        writer.record(HistId::GcPauseNs, 1_000);
+        let cells = writer.cells();
         assert_eq!(cells.time(Bucket::MutatorApp), 150);
         assert_eq!(cells.time(Bucket::GcEvac), 7);
         assert_eq!(cells.time(Bucket::Idle), 0);

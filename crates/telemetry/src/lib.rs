@@ -11,10 +11,11 @@
 //!
 //! The design mirrors the decision-table plane:
 //!
-//! - **Per-thread cells** ([`ThreadCells`]): plain relaxed atomics —
-//!   time-per-bucket counters, event counters, and log-bucketed latency
-//!   histogram cells sharing `rolp_metrics::Histogram`'s exact bucket
-//!   layout. Recording is lock-free and allocation-free.
+//! - **Per-thread cells** ([`ThreadCells`]): time-per-bucket counters,
+//!   event counters, and log-bucketed latency histogram cells sharing
+//!   `rolp_metrics::Histogram`'s exact bucket layout. Each block has one
+//!   [`CellWriter`] (neither `Clone` nor `Sync`), so recording is a
+//!   relaxed load and store — no locked RMW, no allocation.
 //! - **Safepoint aggregation**: [`Registry::publish`] sums the cells
 //!   into an immutable, versioned [`MetricsSnapshot`] (histogram cells
 //!   convert losslessly via `Histogram::from_bucket_counts`).
@@ -37,7 +38,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use bucket::{Bucket, CounterId, GaugeId, HistId};
-pub use cell::{HistogramCell, ThreadCells};
+pub use cell::{CellWriter, HistogramCell, ThreadCells};
 pub use registry::Registry;
 pub use snapshot::{MetricsSnapshot, SnapshotStore};
 pub use span::{SpanGuard, Telemetry};

@@ -7,15 +7,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rolp_metrics::Histogram;
 
 use crate::bucket::{Bucket, CounterId, GaugeId, HistId};
-use crate::cell::ThreadCells;
+use crate::cell::{CellWriter, ThreadCells};
 use crate::snapshot::{MetricsSnapshot, SnapshotStore};
 
 /// Registration and aggregation point for all metric cells of one run.
 ///
 /// Threads register cells on the cold path (once, under a mutex) and
-/// record into them lock-free; gauges are process-wide atomics; the
-/// registry aggregates everything into [`MetricsSnapshot`]s published
-/// through its [`SnapshotStore`].
+/// record into them through each block's single [`CellWriter`]; gauges
+/// are process-wide atomics; the registry aggregates everything into
+/// [`MetricsSnapshot`]s published through its [`SnapshotStore`].
 #[derive(Debug)]
 pub struct Registry {
     threads: Mutex<Vec<Arc<ThreadCells>>>,
@@ -33,11 +33,12 @@ impl Registry {
         }
     }
 
-    /// Registers a new thread cell block (cold path).
-    pub fn register_thread(&self) -> Arc<ThreadCells> {
-        let cells = Arc::new(ThreadCells::new());
-        self.threads.lock().expect("registry poisoned").push(Arc::clone(&cells));
-        cells
+    /// Registers a new thread cell block (cold path) and returns its only
+    /// writer; the registry keeps a read handle for aggregation.
+    pub fn register_thread(&self) -> CellWriter {
+        let writer = CellWriter::new();
+        self.threads.lock().expect("registry poisoned").push(Arc::clone(writer.cells()));
+        writer
     }
 
     /// Number of registered thread cell blocks.
@@ -149,10 +150,10 @@ mod tests {
     #[test]
     fn publish_versions_are_monotonic_and_cumulative() {
         let reg = Registry::new();
-        let cells = reg.register_thread();
-        cells.add_time(Bucket::MutatorApp, 10);
+        let writer = reg.register_thread();
+        writer.add_time(Bucket::MutatorApp, 10);
         assert_eq!(reg.publish(1), 1);
-        cells.add_time(Bucket::MutatorApp, 5);
+        writer.add_time(Bucket::MutatorApp, 5);
         assert_eq!(reg.publish(2), 2);
         // Cells are cumulative, so later snapshots contain earlier time.
         assert_eq!(reg.store().load().time(Bucket::MutatorApp), 15);
@@ -164,8 +165,8 @@ mod tests {
     #[test]
     fn total_time_reads_live_without_publish() {
         let reg = Registry::new();
-        let cells = reg.register_thread();
-        cells.add_time(Bucket::MutatorProfiling, 42);
+        let writer = reg.register_thread();
+        writer.add_time(Bucket::MutatorProfiling, 42);
         assert_eq!(reg.total_time(Bucket::MutatorProfiling), 42);
         assert_eq!(reg.store().version(), 0, "no publish happened");
     }

@@ -14,11 +14,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::bucket::{Bucket, CounterId, HistId};
-use crate::cell::ThreadCells;
+use crate::cell::{CellWriter, ThreadCells};
 use crate::registry::Registry;
 
 struct ThreadState {
-    cells: Arc<ThreadCells>,
+    writer: CellWriter,
     current: Cell<Bucket>,
 }
 
@@ -39,10 +39,10 @@ impl Telemetry {
     /// A telemetry handle registering a new cell block in an existing
     /// registry.
     pub fn with_registry(registry: Arc<Registry>) -> Self {
-        let cells = registry.register_thread();
+        let writer = registry.register_thread();
         Telemetry {
             registry,
-            state: Rc::new(ThreadState { cells, current: Cell::new(Bucket::MutatorApp) }),
+            state: Rc::new(ThreadState { writer, current: Cell::new(Bucket::MutatorApp) }),
         }
     }
 
@@ -51,9 +51,9 @@ impl Telemetry {
         &self.registry
     }
 
-    /// This handle's cell block.
+    /// This handle's cell block (read side; the handle owns its writer).
     pub fn cells(&self) -> &Arc<ThreadCells> {
-        &self.state.cells
+        self.state.writer.cells()
     }
 
     /// The bucket charges are currently attributed to.
@@ -72,26 +72,26 @@ impl Telemetry {
     /// Attributes `ns` to the current bucket (the `VmEnv::charge` hook).
     #[inline]
     pub fn on_charge(&self, ns: u64) {
-        self.state.cells.add_time(self.state.current.get(), ns);
+        self.state.writer.add_time(self.state.current.get(), ns);
     }
 
     /// Attributes `ns` directly to `bucket`, bypassing the current span
     /// (pause decomposition, idle time, modeled profiler stages).
     #[inline]
     pub fn add(&self, bucket: Bucket, ns: u64) {
-        self.state.cells.add_time(bucket, ns);
+        self.state.writer.add_time(bucket, ns);
     }
 
     /// Increments counter `id` by `n`.
     #[inline]
     pub fn bump(&self, id: CounterId, n: u64) {
-        self.state.cells.bump(id, n);
+        self.state.writer.bump(id, n);
     }
 
     /// Records `value` into histogram series `id`.
     #[inline]
     pub fn record(&self, id: HistId, value: u64) {
-        self.state.cells.record(id, value);
+        self.state.writer.record(id, value);
     }
 }
 

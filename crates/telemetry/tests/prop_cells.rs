@@ -5,9 +5,11 @@
 //! merged at a safepoint must produce *exactly* the histogram a
 //! single-threaded reference gets from the same samples — no lost
 //! counts, no drifted extremes, identical percentiles. These tests run
-//! the real multi-threaded path (cells registered and filled from
-//! spawned threads) and are kept small enough to stay Miri-clean; CI
-//! runs them under Miri with a reduced case count.
+//! the real multi-threaded path: cells are registered on the main
+//! thread, each block's single writer moves into its own spawned thread,
+//! and the main thread aggregates after joining. They are kept small
+//! enough to stay Miri-clean; CI runs them under Miri with a reduced
+//! case count and under ThreadSanitizer.
 
 use std::sync::Arc;
 
@@ -17,7 +19,7 @@ use rolp_metrics::Histogram;
 use rolp_telemetry::{Bucket, CounterId, HistId, Registry};
 
 /// Partitions `samples` round-robin over `threads` real threads, each
-/// recording into its own registered cell, then aggregates.
+/// owning the writer of its own registered cell block, then aggregates.
 fn record_across_threads(
     samples: &[u64],
     threads: usize,
@@ -25,13 +27,13 @@ fn record_across_threads(
     let registry = Arc::new(Registry::new());
     let mut handles = Vec::new();
     for t in 0..threads {
-        let cells = registry.register_thread();
+        let writer = registry.register_thread();
         let chunk: Vec<u64> = samples.iter().copied().skip(t).step_by(threads).collect();
         handles.push(std::thread::spawn(move || {
             for v in chunk {
-                cells.record(HistId::GcPauseNs, v);
-                cells.add_time(Bucket::MutatorApp, v);
-                cells.bump(CounterId::GcPauses, 1);
+                writer.record(HistId::GcPauseNs, v);
+                writer.add_time(Bucket::MutatorApp, v);
+                writer.bump(CounterId::GcPauses, 1);
             }
         }));
     }

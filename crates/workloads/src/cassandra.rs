@@ -22,7 +22,7 @@
 
 use rolp::runtime::JvmRuntime;
 use rolp::PackageFilters;
-use rolp_heap::{ClassId, Handle};
+use rolp_heap::{ClassId, FoldMap, Handle};
 use rolp_vm::{AllocSiteId, CallSiteId, MutatorCtx, ProgramBuilder};
 
 use crate::spec::Workload;
@@ -145,7 +145,7 @@ pub struct CassandraWorkload {
     ids: Option<Ids>,
     classes: Option<Classes>,
     /// key → live memtable entry handle.
-    memtable: std::collections::HashMap<u64, Handle>,
+    memtable: FoldMap<u64, Handle>,
     /// SSTable metadata handles, oldest first.
     sstables: Vec<Handle>,
     /// Long-lived index structures (immortal).
@@ -170,7 +170,7 @@ impl CassandraWorkload {
             gen,
             ids: None,
             classes: None,
-            memtable: std::collections::HashMap::new(),
+            memtable: FoldMap::default(),
             sstables: Vec::new(),
             index: Vec::new(),
             row_cache: std::collections::VecDeque::new(),
@@ -303,9 +303,9 @@ impl CassandraWorkload {
                 ctx.alloc(ids.site_sstable, classes.sstable, 0, 32)
             }
         });
-        // Drain in key order: the hash map's iteration order would leak
-        // hasher randomness into handle-slot reuse and from there into
-        // evacuation order, breaking run determinism.
+        // Drain in key order: the hash map's iteration order is arbitrary,
+        // and it would leak into handle-slot reuse and from there into
+        // evacuation order.
         let mut entries: Vec<_> = self.memtable.drain().collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
         for (_, entry) in entries {

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use rolp::runtime::JvmRuntime;
 use rolp::PackageFilters;
-use rolp_heap::{ClassId, Handle};
+use rolp_heap::{ClassId, FoldMap, Handle};
 use rolp_vm::{AllocSiteId, CallSiteId, MutatorCtx, ProgramBuilder};
 
 use crate::spec::Workload;
@@ -101,7 +101,7 @@ pub struct LuceneWorkload {
     ids: Option<Ids>,
     classes: Option<Classes>,
     /// Term id → dictionary entry handle (immortal).
-    dictionary: std::collections::HashMap<u64, Handle>,
+    dictionary: FoldMap<u64, Handle>,
     /// Current in-memory segment's posting buffers.
     segment_postings: Vec<Handle>,
     docs_in_segment: usize,
@@ -125,7 +125,7 @@ impl LuceneWorkload {
             terms,
             ids: None,
             classes: None,
-            dictionary: std::collections::HashMap::new(),
+            dictionary: FoldMap::default(),
             segment_postings: Vec::new(),
             docs_in_segment: 0,
             segments: Vec::new(),
